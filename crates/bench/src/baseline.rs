@@ -154,7 +154,7 @@ pub fn run_all(seed: u64, decisions: u64, schedulers: &[SchedulerKind]) -> Vec<C
 
 /// Throughput of the `simcheck` fuzzer: scenarios and engine events per
 /// wall-clock second across a fixed seed sweep. Tracks the overhead of the
-/// oracle observer and schedule recording on top of raw simulation.
+/// oracle suite and schedule recording on top of raw simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzStat {
     /// Scheduler backend the sweep ran under (`"heap"` or `"wheel"`).

@@ -324,16 +324,7 @@ pub fn exec_campaign_run(spec: &CampaignRunSpec) -> Result<Option<Json>, CliErro
                 // run_unit already isolates engine panics; a panic at the
                 // sweep layer (spec construction) is still recorded rather
                 // than torn out of the campaign.
-                Err(panic) => UnitRun {
-                    events_processed: 0,
-                    decisions: 0,
-                    latency_micros: None,
-                    honest_messages: 0,
-                    violations: Vec::new(),
-                    repro: None,
-                    observability: None,
-                    panic: Some(panic.message),
-                },
+                Err(panic) => UnitRun::panicked(panic.message),
             };
             let (record, histograms) = record_of(batch[j], run, &spec.out_dir)?;
             if let Some((delivery, interval)) = histograms {

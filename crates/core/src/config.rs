@@ -41,8 +41,6 @@ pub struct RunConfig {
     /// liveness timeout rather than looping forever. Defaults to 1 hour of
     /// simulated time.
     pub time_cap: SimDuration,
-    /// Record per-message trace events (expensive; off by default).
-    pub record_messages: bool,
 }
 
 impl RunConfig {
@@ -60,7 +58,6 @@ impl RunConfig {
             lambda: SimDuration::from_millis(1000.0),
             target_decisions: 1,
             time_cap: SimDuration::from_secs(3600.0),
-            record_messages: false,
         }
     }
 
@@ -97,12 +94,6 @@ impl RunConfig {
     /// Sets the simulated-time cap.
     pub fn with_time_cap(mut self, cap: SimDuration) -> Self {
         self.time_cap = cap;
-        self
-    }
-
-    /// Enables per-message trace recording.
-    pub fn with_message_recording(mut self, on: bool) -> Self {
-        self.record_messages = on;
         self
     }
 
@@ -197,12 +188,10 @@ mod tests {
             .with_seed(9)
             .with_lambda_ms(150.0)
             .with_target_decisions(10)
-            .with_time_cap(SimDuration::from_secs(100.0))
-            .with_message_recording(true);
+            .with_time_cap(SimDuration::from_secs(100.0));
         assert_eq!(cfg.f, 3);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.lambda.as_millis_f64(), 150.0);
         assert_eq!(cfg.target_decisions, 10);
-        assert!(cfg.record_messages);
     }
 }

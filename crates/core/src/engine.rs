@@ -6,6 +6,12 @@
 //! order, dispatches them, applies the resulting actions, and stops once the
 //! target number of decisions completed (or the time cap is hit).
 //!
+//! Every engine event is reported through one private `emit`: it builds the
+//! [`TraceEvent`] once and hands it to the run's [`Trace`] (decisions, views,
+//! custom markers, corruptions and crashes) and, when observability is on,
+//! to the obs ring, which also sees message traffic. Clock monotonicity is
+//! counted where the clock advances, into [`RunResult::clock_regressions`].
+//!
 //! The event queue itself is pluggable: [`SimulationBuilder::scheduler`]
 //! selects a [`SchedulerKind`] backend, and every backend honours the same
 //! `(timestamp, insertion seq)` total order (see [`crate::scheduler`]), so
@@ -35,27 +41,6 @@ use crate::protocol::{Protocol, ProtocolFactory, Vacant};
 use crate::scheduler::{EventHandle, Scheduler, SchedulerKind};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::validator::DeliverySchedule;
-use crate::value::Value;
-
-/// A passive probe notified as the engine executes, step by step.
-///
-/// Observers power external correctness checking (the oracle suite in
-/// [`crate::oracle`]): they see the clock at every event and every decision
-/// *as it is applied*, so properties like clock monotonicity and
-/// no-decision-revocation can be checked against what actually happened
-/// rather than against the engine's own summary. Observers cannot influence
-/// the run — the engine hands them values, never state.
-pub trait StepObserver: Send {
-    /// Called once per dispatched event, after the clock advanced to `now`.
-    fn on_event(&mut self, now: crate::time::SimTime) {
-        let _ = now;
-    }
-
-    /// Called when `node` decides `value` for consensus slot `slot`.
-    fn on_decision(&mut self, now: crate::time::SimTime, node: NodeId, slot: u64, value: Value) {
-        let _ = (now, node, slot, value);
-    }
-}
 
 /// Builder for a [`Simulation`].
 ///
@@ -86,9 +71,7 @@ pub struct SimulationBuilder {
     network: Option<Box<dyn NetworkModel>>,
     adversary: Box<dyn Adversary>,
     factory: Option<Box<dyn ProtocolFactory>>,
-    record_schedule: bool,
     replay: Option<DeliverySchedule>,
-    observer: Option<Box<dyn StepObserver>>,
     scheduler: SchedulerKind,
     obs: Option<ObsConfig>,
     faults: Option<FaultInjector>,
@@ -102,9 +85,7 @@ impl SimulationBuilder {
             network: None,
             adversary: Box::new(NullAdversary::new()),
             factory: None,
-            record_schedule: false,
             replay: None,
-            observer: None,
             scheduler: SchedulerKind::default(),
             obs: None,
             faults: None,
@@ -139,25 +120,10 @@ impl SimulationBuilder {
         self
     }
 
-    /// Records the per-message delivery schedule for later validator replay.
-    pub fn record_schedule(mut self, on: bool) -> Self {
-        self.record_schedule = on;
-        self
-    }
-
     /// Replays a previously recorded delivery schedule instead of sampling
     /// the network and consulting the adversary (validator mode, §III-A6).
     pub fn replay_schedule(mut self, schedule: DeliverySchedule) -> Self {
         self.replay = Some(schedule);
-        self
-    }
-
-    /// Installs a step observer, notified of every event and decision as the
-    /// run executes. Use a shared-state observer (e.g.
-    /// [`OracleObserver`](crate::oracle::OracleObserver), which is `Clone`)
-    /// to read what it saw after [`Simulation::run`] consumes the engine.
-    pub fn observer<O: StepObserver + 'static>(mut self, observer: O) -> Self {
-        self.observer = Some(Box::new(observer));
         self
     }
 
@@ -221,14 +187,9 @@ impl SimulationBuilder {
             next_timer_id: 0,
             node_actions: Vec::new(),
             adv_actions: Vec::new(),
-            recorder: if self.record_schedule {
-                Some(DeliverySchedule::new())
-            } else {
-                None
-            },
+            recorder: None,
             replay: self.replay,
             replay_diverged: false,
-            observer: self.observer,
             obs: match self.obs {
                 Some(cfg) => Some(ObsRecorder::new(self.cfg.n, cfg)?),
                 None => None,
@@ -278,7 +239,6 @@ pub struct Simulation {
     recorder: Option<DeliverySchedule>,
     replay: Option<DeliverySchedule>,
     replay_diverged: bool,
-    observer: Option<Box<dyn StepObserver>>,
     /// Run-level instrumentation (histograms, flow matrix, event ring); None
     /// keeps every hook down to one discriminant check.
     obs: Option<ObsRecorder>,
@@ -312,11 +272,9 @@ impl Simulation {
     }
 
     /// Runs the simulation and also returns the recorded delivery schedule
-    /// for validator replay (implies [`SimulationBuilder::record_schedule`]).
+    /// for validator replay.
     pub fn run_recorded(mut self) -> (RunResult, DeliverySchedule) {
-        if self.recorder.is_none() {
-            self.recorder = Some(DeliverySchedule::new());
-        }
+        self.recorder = Some(DeliverySchedule::new());
         let timed_out = self.drive();
         let schedule = self.recorder.take().unwrap_or_default();
         (self.finish(timed_out), schedule)
@@ -371,17 +329,20 @@ impl Simulation {
             let Some(ev) = self.queue.pop() else {
                 return true;
             };
+            if ev.at < self.clock {
+                self.metrics.count_clock_regression();
+            }
             if ev.at.saturating_since(crate::time::SimTime::ZERO) > self.cfg.time_cap {
                 self.clock = crate::time::SimTime::ZERO + self.cfg.time_cap;
                 return true;
             }
             self.clock = ev.at;
-            // Events are only counted as processed (and reported to the
-            // observer) once they survive the skip check below; deliveries to
-            // excluded nodes go to the separate `skipped_excluded_nodes`
-            // counter so they cannot inflate events/sec. Cancelled timers
-            // never surface here at all — the scheduler removes or suppresses
-            // them — and are counted at cancellation time instead.
+            // Events are only counted as processed once they survive the
+            // skip check below; deliveries to excluded nodes go to the
+            // separate `skipped_excluded_nodes` counter so they cannot
+            // inflate events/sec. Cancelled timers never surface here at
+            // all — the scheduler removes or suppresses them — and are
+            // counted at cancellation time instead.
             match ev.kind {
                 EventKind::Deliver(msg) => {
                     let dst = msg.dst();
@@ -389,34 +350,28 @@ impl Simulation {
                         self.metrics.count_skipped_excluded();
                         continue;
                     }
-                    self.count_processed_event();
+                    self.metrics.count_event();
                     // Self-deliveries never touch the wire; keep them out of
                     // the message accounting (see `RunResult`).
-                    if !Self::is_self_delivery(&msg) {
+                    let wire = !Self::is_self_delivery(&msg);
+                    if wire {
                         self.metrics.count_delivery(dst);
                     }
-                    if self.cfg.record_messages {
-                        self.trace.record(
-                            self.clock,
+                    if let Some(obs) = &mut self.obs {
+                        if wire {
+                            obs.on_delivered(self.clock, &msg);
+                        }
+                    }
+                    // Message traffic reaches only the obs ring, so it is not
+                    // even built when observability is off.
+                    if self.obs.is_some() {
+                        self.emit(
                             dst,
                             TraceKind::Delivered {
                                 src: msg.src(),
                                 payload_type: msg.payload().payload_type().into(),
                             },
                         );
-                    }
-                    if let Some(obs) = &mut self.obs {
-                        if !Self::is_self_delivery(&msg) {
-                            obs.on_delivered(self.clock, &msg);
-                        }
-                        obs.push_event(TraceEvent {
-                            time: self.clock,
-                            node: dst,
-                            kind: TraceKind::Delivered {
-                                src: msg.src(),
-                                payload_type: msg.payload().payload_type().into(),
-                            },
-                        });
                     }
                     self.dispatch_node(dst, |node, ctx| node.on_message(&msg, ctx));
                 }
@@ -426,11 +381,11 @@ impl Simulation {
                         self.metrics.count_skipped_excluded();
                         continue;
                     }
-                    self.count_processed_event();
+                    self.metrics.count_event();
                     self.dispatch_node(node, |n, ctx| n.on_timer(&timer, ctx));
                 }
                 EventKind::AdversaryTimer { tag } => {
-                    self.count_processed_event();
+                    self.metrics.count_event();
                     self.run_adversary(|adv, api| adv.on_timer(tag, api));
                     self.apply_adv_actions();
                 }
@@ -443,13 +398,28 @@ impl Simulation {
         self.completed >= self.cfg.target_decisions
     }
 
-    /// Counts a dispatched event and mirrors it to the observer, keeping the
-    /// two in lockstep (the metrics-sanity oracle cross-checks them).
-    fn count_processed_event(&mut self) {
-        self.metrics.count_event();
-        if let Some(obs) = &mut self.observer {
-            obs.on_event(self.clock);
+    /// Reports one engine event: the single place a [`TraceEvent`] is built.
+    /// The run's [`Trace`] keeps every event except message traffic
+    /// (`Sent`/`Delivered`); the obs ring, when on, keeps all of them.
+    fn emit(&mut self, node: NodeId, kind: TraceKind) {
+        let event = TraceEvent {
+            time: self.clock,
+            node,
+            kind,
+        };
+        if matches!(
+            event.kind,
+            TraceKind::Sent { .. } | TraceKind::Delivered { .. }
+        ) {
+            if let Some(obs) = &self.obs {
+                obs.push_event(event);
+            }
+            return;
         }
+        if let Some(obs) = &self.obs {
+            obs.push_event(event.clone());
+        }
+        self.trace.push(event);
     }
 
     /// Checks a node's protocol instance out of its slot, runs `f` with a
@@ -557,46 +527,21 @@ impl Simulation {
                 }
                 Action::Decide(value) => {
                     let slot = self.metrics.record_decision(src, self.clock, value);
-                    if let Some(obs) = &mut self.observer {
-                        obs.on_decision(self.clock, src, slot, value);
-                    }
                     if let Some(obs) = &mut self.obs {
                         obs.on_decided(self.clock, src);
-                        obs.push_event(TraceEvent {
-                            time: self.clock,
-                            node: src,
-                            kind: TraceKind::Decided { slot, value },
-                        });
                     }
-                    self.trace
-                        .record(self.clock, src, TraceKind::Decided { slot, value });
+                    self.emit(src, TraceKind::Decided { slot, value });
                     self.metrics.check_safety(src, &self.excluded);
                     self.completed = self.metrics.update_completions(self.clock, &self.excluded);
                 }
                 Action::EnterView(view) => {
                     if let Some(obs) = &mut self.obs {
                         obs.on_view(self.clock, view);
-                        obs.push_event(TraceEvent {
-                            time: self.clock,
-                            node: src,
-                            kind: TraceKind::View { view },
-                        });
                     }
-                    self.trace.record(self.clock, src, TraceKind::View { view });
+                    self.emit(src, TraceKind::View { view });
                 }
                 Action::Custom { label, detail } => {
-                    if let Some(obs) = &self.obs {
-                        obs.push_event(TraceEvent {
-                            time: self.clock,
-                            node: src,
-                            kind: TraceKind::Custom {
-                                label: label.clone(),
-                                detail: detail.clone(),
-                            },
-                        });
-                    }
-                    self.trace
-                        .record(self.clock, src, TraceKind::Custom { label, detail });
+                    self.emit(src, TraceKind::Custom { label, detail });
                 }
             }
         }
@@ -617,25 +562,15 @@ impl Simulation {
         if !Self::is_self_delivery(&msg) {
             self.metrics.count_honest_message(msg.src());
         }
-        if self.cfg.record_messages {
-            self.trace.record(
-                self.clock,
+        // As for deliveries: built only when the obs ring will keep it.
+        if self.obs.is_some() {
+            self.emit(
                 msg.src(),
                 TraceKind::Sent {
                     dst: msg.dst(),
                     payload_type: msg.payload().payload_type().into(),
                 },
             );
-        }
-        if let Some(obs) = &self.obs {
-            obs.push_event(TraceEvent {
-                time: self.clock,
-                node: msg.src(),
-                kind: TraceKind::Sent {
-                    dst: msg.dst(),
-                    payload_type: msg.payload().payload_type().into(),
-                },
-            });
         }
 
         let fate = if let Some(replay) = &mut self.replay {
@@ -776,14 +711,7 @@ impl Simulation {
                 AdvAction::Corrupt(node) => {
                     if self.corrupted.insert(node) {
                         self.excluded.insert(node);
-                        self.trace.record(self.clock, node, TraceKind::Corrupted);
-                        if let Some(obs) = &self.obs {
-                            obs.push_event(TraceEvent {
-                                time: self.clock,
-                                node,
-                                kind: TraceKind::Corrupted,
-                            });
-                        }
+                        self.emit(node, TraceKind::Corrupted);
                         self.completed =
                             self.metrics.update_completions(self.clock, &self.excluded);
                     }
@@ -791,14 +719,7 @@ impl Simulation {
                 AdvAction::Crash(node) => {
                     if self.crashed.insert(node) {
                         self.excluded.insert(node);
-                        self.trace.record(self.clock, node, TraceKind::Crashed);
-                        if let Some(obs) = &self.obs {
-                            obs.push_event(TraceEvent {
-                                time: self.clock,
-                                node,
-                                kind: TraceKind::Crashed,
-                            });
-                        }
+                        self.emit(node, TraceKind::Crashed);
                         self.completed =
                             self.metrics.update_completions(self.clock, &self.excluded);
                     }
@@ -1122,6 +1043,86 @@ mod tests {
         );
     }
 
+    /// Enters a view and reports a custom marker at init, broadcasts, then
+    /// enters the next view and decides when its timer fires.
+    #[derive(Debug)]
+    struct Narrator;
+
+    impl Protocol for Narrator {
+        fn init(&mut self, ctx: &mut Context<'_>) {
+            ctx.enter_view(1);
+            ctx.report("hello", "view=1");
+            ctx.broadcast(Tick::Probe);
+            ctx.set_timer(SimDuration::from_millis(20.0), Tick::Long);
+        }
+        fn on_message(&mut self, _m: &Message, _ctx: &mut Context<'_>) {}
+        fn on_timer(&mut self, _t: &Timer, ctx: &mut Context<'_>) {
+            ctx.enter_view(2);
+            ctx.decide(Value::new(1));
+        }
+    }
+
+    /// Corrupts node 5 and crashes node 6 at 5 ms.
+    #[derive(Debug)]
+    struct CorruptAndCrash;
+
+    impl Adversary for CorruptAndCrash {
+        fn init(&mut self, api: &mut AdversaryApi<'_>) {
+            api.set_timer(0, SimDuration::from_millis(5.0));
+        }
+        fn on_timer(&mut self, _tag: u64, api: &mut AdversaryApi<'_>) {
+            api.corrupt(NodeId::new(5));
+            api.crash(NodeId::new(6));
+        }
+    }
+
+    /// The trace and the obs ring are fed by the one emit path: with a
+    /// ring large enough for the whole run, the ring minus message traffic
+    /// is the trace, event for event, on every backend.
+    #[test]
+    fn ring_and_trace_report_each_event_once() {
+        const RING: usize = 10_000;
+        for kind in SchedulerKind::ALL {
+            let cfg = ObsConfig::new(RING);
+            let ring = cfg.ring();
+            let result = SimulationBuilder::new(RunConfig::new(7).with_seed(9))
+                .network(constant_net())
+                .scheduler(kind)
+                .adversary(CorruptAndCrash)
+                .observability(cfg)
+                .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::new(Narrator) })
+                .build()
+                .unwrap()
+                .run();
+            assert_eq!(result.decisions_completed(), 1, "{kind}");
+            assert_eq!(result.clock_regressions, 0, "{kind}");
+
+            let events = ring.snapshot();
+            assert!(events.len() < RING, "{kind}: the ring dropped events");
+            let messages = |e: &TraceEvent| {
+                matches!(e.kind, TraceKind::Sent { .. } | TraceKind::Delivered { .. })
+            };
+            assert!(events.iter().any(messages), "{kind}");
+            let lifecycle: Vec<TraceEvent> = events.into_iter().filter(|e| !messages(e)).collect();
+            assert!(lifecycle.iter().all(|e| matches!(
+                e.kind,
+                TraceKind::Decided { .. }
+                    | TraceKind::View { .. }
+                    | TraceKind::Custom { .. }
+                    | TraceKind::Corrupted
+                    | TraceKind::Crashed
+            )));
+            assert_eq!(lifecycle, result.trace.events(), "{kind}");
+
+            let has = |f: fn(&TraceKind) -> bool| result.trace.events().iter().any(|e| f(&e.kind));
+            assert!(has(|k| matches!(k, TraceKind::Decided { .. })), "{kind}");
+            assert!(has(|k| matches!(k, TraceKind::View { .. })), "{kind}");
+            assert!(has(|k| matches!(k, TraceKind::Custom { .. })), "{kind}");
+            assert!(has(|k| matches!(k, TraceKind::Corrupted)), "{kind}");
+            assert!(has(|k| matches!(k, TraceKind::Crashed)), "{kind}");
+        }
+    }
+
     /// A schedule recorded under one backend must replay under the other:
     /// record/replay only sees message fates, which the backend cannot
     /// influence.
@@ -1133,11 +1134,7 @@ mod tests {
                 .scheduler(kind)
                 .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::<TalkThenDecide>::default() })
         };
-        let (recorded, schedule) = build(SchedulerKind::Heap)
-            .record_schedule(true)
-            .build()
-            .unwrap()
-            .run_recorded();
+        let (recorded, schedule) = build(SchedulerKind::Heap).build().unwrap().run_recorded();
         let mut replayed = build(SchedulerKind::Wheel)
             .replay_schedule(schedule)
             .build()

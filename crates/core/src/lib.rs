@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::config::RunConfig;
     pub use crate::context::Context;
     pub use crate::dist::Dist;
-    pub use crate::engine::{Simulation, SimulationBuilder, StepObserver};
+    pub use crate::engine::{Simulation, SimulationBuilder};
     pub use crate::error::SimError;
     pub use crate::event::Timer;
     pub use crate::ids::{NodeId, TimerId};
@@ -96,8 +96,7 @@ pub mod prelude {
     pub use crate::network::{Delivery, LinkDecision, NetworkModel};
     pub use crate::obs::{Histogram, ObsConfig, ObsRing, Observability, PhaseClassifier};
     pub use crate::oracle::{
-        Expectations, Oracle, OracleInput, OracleObserver, OracleSuite, OracleViolation,
-        OutageWindow, ValueDomain,
+        Expectations, Oracle, OracleInput, OracleSuite, OracleViolation, OutageWindow, ValueDomain,
     };
     pub use crate::protocol::{Protocol, ProtocolFactory};
     pub use crate::scheduler::{Scheduler, SchedulerKind, SchedulerStats};

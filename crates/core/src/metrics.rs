@@ -21,6 +21,7 @@ pub(crate) struct MetricsCollector {
     events_processed: u64,
     skipped_cancelled_timers: u64,
     skipped_excluded_nodes: u64,
+    clock_regressions: u64,
     broadcasts: u64,
     /// Messages sent per node (signing work proxy).
     sent_per_node: Vec<u64>,
@@ -56,6 +57,7 @@ impl MetricsCollector {
             events_processed: 0,
             skipped_cancelled_timers: 0,
             skipped_excluded_nodes: 0,
+            clock_regressions: 0,
             broadcasts: 0,
             sent_per_node: vec![0; n],
             delivered_per_node: vec![0; n],
@@ -94,6 +96,11 @@ impl MetricsCollector {
     /// node is crashed or corrupted.
     pub fn count_skipped_excluded(&mut self) {
         self.skipped_excluded_nodes += 1;
+    }
+
+    /// Counts a popped event timestamped before the current clock.
+    pub fn count_clock_regression(&mut self) {
+        self.clock_regressions += 1;
     }
 
     pub fn count_broadcast(&mut self) {
@@ -177,6 +184,7 @@ impl MetricsCollector {
             events_processed: self.events_processed,
             skipped_cancelled_timers: self.skipped_cancelled_timers,
             skipped_excluded_nodes: self.skipped_excluded_nodes,
+            clock_regressions: self.clock_regressions,
             broadcasts: self.broadcasts,
             sent_per_node: self.sent_per_node,
             delivered_per_node: self.delivered_per_node,
@@ -235,6 +243,10 @@ pub struct RunResult {
     /// Events popped from the queue but *not* dispatched because they were
     /// addressed to a crashed/corrupted (excluded) node.
     pub skipped_excluded_nodes: u64,
+    /// Events popped with a timestamp earlier than the clock, counted on
+    /// every pop (skipped events included). The scheduler's order makes
+    /// this zero; the metrics-sanity oracle reports any other value.
+    pub clock_regressions: u64,
     /// Number of `broadcast`/`broadcast_all` actions applied; with the shared
     /// payload fan-out this is also the number of payload allocations the
     /// broadcast hot path performs.
@@ -248,7 +260,8 @@ pub struct RunResult {
     pub safety_violation: Option<String>,
     /// Per-node decided `(time, value)` sequences.
     pub decided: Vec<Vec<(SimTime, Value)>>,
-    /// Recorded trace (decisions, views, corruptions; messages if enabled).
+    /// Recorded trace: decisions, views, custom markers, corruptions and
+    /// crashes. Message traffic goes to the observability ring only.
     pub trace: Trace,
     /// Maximum number of *live* events in the queue at once (memory proxy for
     /// Fig. 2). Live-entry accounting makes this identical under every

@@ -16,15 +16,11 @@
 //!   (deliveries never exceed transmissions, the clock never runs backward).
 //!
 //! Oracles read an [`OracleInput`], built either from a finished
-//! [`RunResult`] (optionally enriched with per-step observations from an
-//! [`OracleObserver`] installed via
-//! [`SimulationBuilder::observer`](crate::engine::SimulationBuilder::observer))
-//! or from a bare [`Trace`] such as the committed golden traces.
+//! [`RunResult`] or from a bare [`Trace`] such as the committed golden
+//! traces.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
 
-use crate::engine::StepObserver;
 use crate::ids::NodeId;
 use crate::metrics::RunResult;
 use crate::time::SimTime;
@@ -123,74 +119,6 @@ impl Expectations {
     }
 }
 
-/// Per-step facts gathered while a run executes, via [`OracleObserver`].
-#[derive(Debug, Clone)]
-pub struct ObservedRun {
-    /// Events the observer saw (must equal `RunResult::events_processed`).
-    pub events: u64,
-    /// Times the clock moved backwards between events (must be zero).
-    pub clock_regressions: u64,
-    /// The clock value at the last observed event.
-    pub last_clock: SimTime,
-    /// Every decision in the order the engine applied it.
-    pub decisions: Vec<(SimTime, NodeId, u64, Value)>,
-}
-
-impl Default for ObservedRun {
-    fn default() -> Self {
-        ObservedRun {
-            events: 0,
-            clock_regressions: 0,
-            last_clock: SimTime::ZERO,
-            decisions: Vec::new(),
-        }
-    }
-}
-
-/// A [`StepObserver`] that records the facts the oracles need.
-///
-/// Cloning shares the underlying log, so keep one handle and give the other
-/// to [`SimulationBuilder::observer`](crate::engine::SimulationBuilder::observer):
-///
-/// ```
-/// use bft_sim_core::oracle::OracleObserver;
-/// let probe = OracleObserver::new();
-/// let handle = probe.clone(); // goes to SimulationBuilder::observer(probe)
-/// assert_eq!(handle.snapshot().events, 0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OracleObserver {
-    shared: Arc<Mutex<ObservedRun>>,
-}
-
-impl OracleObserver {
-    /// Creates an observer with an empty log.
-    pub fn new() -> Self {
-        OracleObserver::default()
-    }
-
-    /// A copy of everything observed so far.
-    pub fn snapshot(&self) -> ObservedRun {
-        self.shared.lock().expect("observer lock").clone()
-    }
-}
-
-impl StepObserver for OracleObserver {
-    fn on_event(&mut self, now: SimTime) {
-        let mut log = self.shared.lock().expect("observer lock");
-        log.events += 1;
-        if now < log.last_clock {
-            log.clock_regressions += 1;
-        }
-        log.last_clock = now;
-    }
-
-    fn on_decision(&mut self, now: SimTime, node: NodeId, slot: u64, value: Value) {
-        let mut log = self.shared.lock().expect("observer lock");
-        log.decisions.push((now, node, slot, value));
-    }
-}
-
 /// Everything an oracle may look at, assembled once per checked run.
 #[derive(Debug)]
 pub struct OracleInput<'a> {
@@ -201,22 +129,15 @@ pub struct OracleInput<'a> {
     pub decisions: Vec<(SimTime, NodeId, u64, Value)>,
     /// Nodes the adversary corrupted or crashed (exempt from correctness).
     pub excluded: HashSet<NodeId>,
-    /// Per-step observations, when an [`OracleObserver`] was installed.
-    pub observed: Option<ObservedRun>,
     /// What this scenario entitles the oracles to assume.
     pub expect: Expectations,
 }
 
 impl<'a> OracleInput<'a> {
-    /// Builds the input from a finished run (and optional observations).
-    pub fn from_result(
-        result: &'a RunResult,
-        observed: Option<ObservedRun>,
-        expect: Expectations,
-    ) -> Self {
+    /// Builds the input from a finished run.
+    pub fn from_result(result: &'a RunResult, expect: Expectations) -> Self {
         let mut input = Self::from_trace_inner(&result.trace, expect);
         input.result = Some(result);
-        input.observed = observed;
         input
     }
 
@@ -237,7 +158,6 @@ impl<'a> OracleInput<'a> {
             result: None,
             decisions,
             excluded,
-            observed: None,
             expect,
         }
     }
@@ -364,19 +284,6 @@ impl Oracle for NoRevocationOracle {
                     });
                 }
             }
-            // And the engine-reported observations must agree with the trace.
-            if let Some(obs) = &input.observed {
-                if obs.decisions != input.decisions {
-                    return Err(OracleViolation {
-                        oracle: self.name(),
-                        detail: format!(
-                            "observer saw {} decisions but the trace records {}",
-                            obs.decisions.len(),
-                            input.decisions.len()
-                        ),
-                    });
-                }
-            }
         }
         Ok(())
     }
@@ -482,8 +389,8 @@ impl Oracle for TerminationOracle {
 
 /// Metrics sanity: the engine's own accounting must be internally
 /// consistent — deliveries never exceed transmissions, drops never exceed
-/// honest sends, decision times never exceed the end time, and (when
-/// observed) the clock is monotone and the event counts agree.
+/// honest sends, decision times never exceed the end time, and the clock
+/// never ran backwards between popped events.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MetricsSanityOracle;
 
@@ -531,19 +438,11 @@ impl Oracle for MetricsSanityOracle {
                 )));
             }
         }
-        if let Some(obs) = &input.observed {
-            if obs.clock_regressions > 0 {
-                return Err(fail(format!(
-                    "clock ran backwards {} time(s) during the run",
-                    obs.clock_regressions
-                )));
-            }
-            if obs.events != result.events_processed {
-                return Err(fail(format!(
-                    "observer saw {} events but the engine reports {}",
-                    obs.events, result.events_processed
-                )));
-            }
+        if result.clock_regressions > 0 {
+            return Err(fail(format!(
+                "clock ran backwards {} time(s) during the run",
+                result.clock_regressions
+            )));
         }
         Ok(())
     }
@@ -615,7 +514,6 @@ mod tests {
             result: None,
             decisions,
             excluded: HashSet::new(),
-            observed: None,
             expect: Expectations::lenient(),
         }
     }
@@ -706,6 +604,7 @@ mod tests {
             events_processed: 0,
             skipped_cancelled_timers: 0,
             skipped_excluded_nodes: 0,
+            clock_regressions: 0,
             broadcasts: 0,
             sent_per_node: vec![0; n],
             delivered_per_node: vec![0; n],
@@ -733,7 +632,7 @@ mod tests {
         // t=2ms on the other nodes; node 2 is offline over [1ms, 5s)).
         // Global completions stall at 1/2 and the run times out.
         let result = timed_out_result(&[2, 2, 1], 1, 900_000);
-        let mut owed = OracleInput::from_result(&result, None, Expectations::lenient());
+        let mut owed = OracleInput::from_result(&result, Expectations::lenient());
         owed.expect.must_terminate = true;
         owed.expect.target_decisions = 2;
 
@@ -815,15 +714,15 @@ mod tests {
     }
 
     #[test]
-    fn observer_records_events_and_decisions() {
-        let probe = OracleObserver::new();
-        let mut handle: Box<dyn StepObserver> = Box::new(probe.clone());
-        handle.on_event(SimTime::from_millis(5));
-        handle.on_event(SimTime::from_millis(3)); // regression
-        handle.on_decision(SimTime::from_millis(3), NodeId::new(0), 0, Value::ONE);
-        let snap = probe.snapshot();
-        assert_eq!(snap.events, 2);
-        assert_eq!(snap.clock_regressions, 1);
-        assert_eq!(snap.decisions.len(), 1);
+    fn metrics_sanity_reports_clock_regressions() {
+        let mut result = timed_out_result(&[1, 1], 1, 10);
+        let clean = OracleInput::from_result(&result, Expectations::lenient());
+        assert!(MetricsSanityOracle.check(&clean).is_ok());
+
+        result.clock_regressions = 2;
+        let regressed = OracleInput::from_result(&result, Expectations::lenient());
+        let v = MetricsSanityOracle.check(&regressed).unwrap_err();
+        assert_eq!(v.oracle, "metrics-sanity");
+        assert_eq!(v.detail, "clock ran backwards 2 time(s) during the run");
     }
 }

@@ -1,7 +1,7 @@
 //! Execution traces.
 //!
 //! The controller records structured events (decisions, view changes,
-//! corruptions, optionally every message) into a [`Trace`]. Traces power the
+//! custom markers, corruptions and crashes) into a [`Trace`]. Traces power the
 //! validator module, the per-node view visualisation of Fig. 9, and data
 //! logging in general.
 
@@ -39,7 +39,8 @@ pub enum TraceKind {
         /// The new view number.
         view: u64,
     },
-    /// A node sent a message (recorded only with message recording on).
+    /// A node sent a message. Kept by the observability ring only, never by
+    /// a run's [`Trace`].
     Sent {
         /// Destination node.
         dst: NodeId,
@@ -47,7 +48,8 @@ pub enum TraceKind {
         /// the hot path allocates nothing — and owned when parsed from JSON.
         payload_type: Cow<'static, str>,
     },
-    /// A node received a message (recorded only with message recording on).
+    /// A node received a message. Kept by the observability ring only, never
+    /// by a run's [`Trace`].
     Delivered {
         /// Claimed source node.
         src: NodeId,
@@ -84,8 +86,8 @@ impl Trace {
         Trace::default()
     }
 
-    pub(crate) fn record(&mut self, time: SimTime, node: NodeId, kind: TraceKind) {
-        self.events.push(TraceEvent { time, node, kind });
+    pub(crate) fn push(&mut self, event: TraceEvent) {
+        self.events.push(event);
     }
 
     /// All recorded events, in recording (= time) order.
@@ -294,15 +296,21 @@ impl TraceKind {
 mod tests {
     use super::*;
 
+    fn record(t: &mut Trace, time: SimTime, node: NodeId, kind: TraceKind) {
+        t.push(TraceEvent { time, node, kind });
+    }
+
     #[test]
     fn records_and_filters() {
         let mut t = Trace::new();
-        t.record(
+        record(
+            &mut t,
             SimTime::from_millis(1),
             NodeId::new(0),
             TraceKind::View { view: 1 },
         );
-        t.record(
+        record(
+            &mut t,
             SimTime::from_millis(2),
             NodeId::new(1),
             TraceKind::Decided {
@@ -310,7 +318,8 @@ mod tests {
                 value: Value::ONE,
             },
         );
-        t.record(
+        record(
+            &mut t,
             SimTime::from_millis(3),
             NodeId::new(0),
             TraceKind::View { view: 2 },
@@ -327,7 +336,8 @@ mod tests {
     #[test]
     fn json_round_trip_covers_every_kind() {
         let mut t = Trace::new();
-        t.record(
+        record(
+            &mut t,
             SimTime::from_millis(1),
             NodeId::new(0),
             TraceKind::Decided {
@@ -335,12 +345,14 @@ mod tests {
                 value: Value::new(9),
             },
         );
-        t.record(
+        record(
+            &mut t,
             SimTime::from_millis(2),
             NodeId::new(1),
             TraceKind::View { view: 3 },
         );
-        t.record(
+        record(
+            &mut t,
             SimTime::from_millis(3),
             NodeId::new(0),
             TraceKind::Sent {
@@ -348,7 +360,8 @@ mod tests {
                 payload_type: "demo::Vote".into(),
             },
         );
-        t.record(
+        record(
+            &mut t,
             SimTime::from_millis(4),
             NodeId::new(1),
             TraceKind::Delivered {
@@ -356,13 +369,20 @@ mod tests {
                 payload_type: "demo::Vote".into(),
             },
         );
-        t.record(
+        record(
+            &mut t,
             SimTime::from_millis(5),
             NodeId::new(2),
             TraceKind::Corrupted,
         );
-        t.record(SimTime::from_millis(6), NodeId::new(3), TraceKind::Crashed);
-        t.record(
+        record(
+            &mut t,
+            SimTime::from_millis(6),
+            NodeId::new(3),
+            TraceKind::Crashed,
+        );
+        record(
+            &mut t,
             SimTime::from_millis(7),
             NodeId::new(0),
             TraceKind::Custom {
@@ -394,7 +414,8 @@ mod tests {
             "ends in backslash\\".to_string(),
         ];
         let mut t = Trace::new();
-        t.record(
+        record(
+            &mut t,
             SimTime::from_micros(u64::MAX),
             NodeId::new(u32::MAX),
             TraceKind::Decided {
@@ -402,13 +423,15 @@ mod tests {
                 value: Value::new(u64::MAX),
             },
         );
-        t.record(
+        record(
+            &mut t,
             SimTime::ZERO,
             NodeId::new(0),
             TraceKind::View { view: u64::MAX },
         );
         for (i, s) in nasty_strings.iter().enumerate() {
-            t.record(
+            record(
+                &mut t,
                 SimTime::from_micros(i as u64),
                 NodeId::new(i as u32),
                 TraceKind::Sent {
@@ -416,7 +439,8 @@ mod tests {
                     payload_type: Cow::Owned(s.clone()),
                 },
             );
-            t.record(
+            record(
+                &mut t,
                 SimTime::from_micros(i as u64),
                 NodeId::new(i as u32),
                 TraceKind::Delivered {
@@ -424,7 +448,8 @@ mod tests {
                     payload_type: Cow::Owned(s.clone()),
                 },
             );
-            t.record(
+            record(
+                &mut t,
                 SimTime::from_micros(i as u64),
                 NodeId::new(i as u32),
                 TraceKind::Custom {
@@ -433,12 +458,18 @@ mod tests {
                 },
             );
         }
-        t.record(
+        record(
+            &mut t,
             SimTime::from_millis(1),
             NodeId::new(1),
             TraceKind::Corrupted,
         );
-        t.record(SimTime::from_millis(2), NodeId::new(2), TraceKind::Crashed);
+        record(
+            &mut t,
+            SimTime::from_millis(2),
+            NodeId::new(2),
+            TraceKind::Crashed,
+        );
 
         let json = t.to_json();
         assert_eq!(Trace::from_json(&json).unwrap(), t);
@@ -524,7 +555,7 @@ mod tests {
             ),
         ];
         for (time, node, kind) in script {
-            t.record(time, NodeId::new(node), kind);
+            record(&mut t, time, NodeId::new(node), kind);
         }
 
         assert_eq!(
@@ -562,7 +593,8 @@ mod tests {
     #[test]
     fn custom_events_by_label() {
         let mut t = Trace::new();
-        t.record(
+        record(
+            &mut t,
             SimTime::ZERO,
             NodeId::new(0),
             TraceKind::Custom {

@@ -393,7 +393,7 @@ mod tests {
 
     use crate::ids::NodeId;
     use crate::time::SimTime;
-    use crate::trace::{Trace, TraceKind};
+    use crate::trace::{Trace, TraceEvent, TraceKind};
     use crate::value::Value;
 
     /// A minimal [`RunResult`] whose per-node decisions are the given value
@@ -418,6 +418,7 @@ mod tests {
             events_processed: 0,
             skipped_cancelled_timers: 0,
             skipped_excluded_nodes: 0,
+            clock_regressions: 0,
             broadcasts: 0,
             sent_per_node: vec![0; n],
             delivered_per_node: vec![0; n],
@@ -459,12 +460,13 @@ mod tests {
     #[test]
     fn check_against_trace_names_node_and_event_index() {
         let mut golden = Trace::new();
-        golden.record(
+        let mut record = |time, node, kind| golden.push(TraceEvent { time, node, kind });
+        record(
             SimTime::from_millis(1),
             NodeId::new(0),
             TraceKind::View { view: 1 },
         );
-        golden.record(
+        record(
             SimTime::from_millis(2),
             NodeId::new(0),
             TraceKind::Decided {
@@ -472,7 +474,7 @@ mod tests {
                 value: Value::new(7),
             },
         );
-        golden.record(
+        record(
             SimTime::from_millis(3),
             NodeId::new(1),
             TraceKind::Decided {

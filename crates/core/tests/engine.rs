@@ -143,7 +143,6 @@ fn record_and_replay_reproduce_decisions() {
     let (original, schedule) = SimulationBuilder::new(RunConfig::new(4).with_seed(5))
         .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
         .protocols(quorum_factory)
-        .record_schedule(true)
         .build()
         .unwrap()
         .run_recorded();

@@ -26,7 +26,6 @@
 
 use std::collections::VecDeque;
 use std::hash::Hasher;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use rand::rngs::SmallRng;
@@ -34,13 +33,10 @@ use rand::{Rng, SeedableRng};
 
 use bft_sim_core::fasthash::{FastHasher, FastSet};
 use bft_sim_core::json::Json;
-use bft_sim_core::obs::DEFAULT_LAST_K;
-use bft_sim_core::sweep::{panic_message, sweep};
-use bft_sim_core::trace::TraceEvent;
+use bft_sim_core::sweep::sweep;
 
-use crate::fuzz::{FuzzFailure, FuzzObservability, FuzzOptions, FuzzOutcome, FuzzReport};
-use crate::scenario::{CheckedRun, DelaySpec, PartitionSpec, RunMode, ScenarioSpec};
-use crate::shrink::shrink;
+use crate::fuzz::{run_scenario, FuzzObservability, FuzzOptions, FuzzReport, UnitRun};
+use crate::scenario::{CheckedRun, DelaySpec, PartitionSpec, ScenarioSpec};
 
 /// Scenario scales the mutator may re-draw (the generator's set).
 const SCALES: [usize; 4] = [4, 7, 10, 16];
@@ -466,22 +462,6 @@ fn scale_delay(delay: DelaySpec, up: bool) -> DelaySpec {
     }
 }
 
-/// What one coverage run's job produces; reassembled in submission order.
-enum CovResult {
-    Ran {
-        events_processed: u64,
-        skipped_cancelled_timers: u64,
-        skipped_excluded_nodes: u64,
-        fingerprint: u64,
-        outcome: Option<Box<FuzzOutcome>>,
-        observability: Box<bft_sim_core::obs::Observability>,
-    },
-    Panicked {
-        message: String,
-        last_events: Vec<TraceEvent>,
-    },
-}
-
 /// Runs a coverage-guided (or, with `corpus_mode` off, blind-but-accounted)
 /// fuzz search of `budget` scenarios and returns the usual [`FuzzReport`]
 /// with its `coverage` block filled in.
@@ -490,7 +470,8 @@ enum CovResult {
 /// observability signature — but the report's `observability` aggregate is
 /// only populated when [`FuzzOptions::observability`] asks for it, matching
 /// [`fuzz_many`](crate::fuzz::fuzz_many)'s contract. Violating runs shrink
-/// to repros exactly as in a blind sweep. [`FuzzOutcome::scenario_seed`]
+/// to repros exactly as in a blind sweep.
+/// [`FuzzOutcome::scenario_seed`](crate::fuzz::FuzzOutcome::scenario_seed)
 /// holds the 1-based run index (scenarios here come from the master RNG and
 /// the corpus, not from a user-supplied seed list).
 ///
@@ -611,54 +592,11 @@ pub fn fuzz_coverage_in_dir(
             batch.push((spec, mutated));
         }
 
-        let results = sweep(
-            batch.len(),
-            opts.threads,
-            |i| -> Result<CovResult, String> {
-                let spec = &batch[i].0;
-                let run_index = stats.runs + 1 + i as u64;
-                let cfg = spec.obs_config(DEFAULT_LAST_K);
-                let ring = cfg.ring();
-                let run = match catch_unwind(AssertUnwindSafe(|| {
-                    spec.run_observed(RunMode::Generate, opts.scheduler, Some(cfg))
-                })) {
-                    Ok(run) => run.map_err(|e| format!("run {run_index}: {e}"))?,
-                    Err(payload) => {
-                        return Ok(CovResult::Panicked {
-                            message: panic_message(payload.as_ref()),
-                            last_events: ring.snapshot(),
-                        })
-                    }
-                };
-                let fingerprint = run_fingerprint(&run);
-                let observability = Box::new(
-                    run.result
-                        .observability
-                        .clone()
-                        .expect("coverage runs are always instrumented"),
-                );
-                let outcome = if run.violations.is_empty() {
-                    None
-                } else {
-                    let mut repro = shrink(spec, &run);
-                    repro.last_events = observability.recent_events.clone();
-                    Some(Box::new(FuzzOutcome {
-                        scenario_seed: run_index,
-                        spec: spec.clone(),
-                        violations: run.violations.iter().map(|v| v.to_string()).collect(),
-                        repro,
-                    }))
-                };
-                Ok(CovResult::Ran {
-                    events_processed: run.result.events_processed,
-                    skipped_cancelled_timers: run.result.skipped_cancelled_timers,
-                    skipped_excluded_nodes: run.result.skipped_excluded_nodes,
-                    fingerprint,
-                    outcome,
-                    observability,
-                })
-            },
-        );
+        let results = sweep(batch.len(), opts.threads, |i| {
+            let run_index = stats.runs + 1 + i as u64;
+            run_scenario(&batch[i].0, opts.scheduler, true, run_fingerprint)
+                .map_err(|e| format!("run {run_index}: {e}"))
+        });
 
         for (i, slot) in results.into_iter().enumerate() {
             let (spec, mutated) = &batch[i];
@@ -669,63 +607,29 @@ pub fn fuzz_coverage_in_dir(
             } else {
                 stats.fresh_runs += 1;
             }
-            match slot {
-                Ok(Ok(CovResult::Ran {
-                    events_processed,
-                    skipped_cancelled_timers,
-                    skipped_excluded_nodes,
-                    fingerprint,
-                    outcome,
-                    observability,
-                })) => {
-                    report.runs += 1;
-                    report.events_processed += events_processed;
-                    report.skipped_cancelled_timers += skipped_cancelled_timers;
-                    report.skipped_excluded_nodes += skipped_excluded_nodes;
-                    if seen.insert(fingerprint) {
-                        corpus.push_back(spec.clone());
-                        if corpus.len() > CORPUS_CAP {
-                            corpus.pop_front();
-                        }
-                    }
-                    if let Some(outcome) = outcome {
-                        stats.first_violation_run.get_or_insert(run_index);
-                        report.outcomes.push(*outcome);
-                    }
-                    if let Some(total) = &mut report.observability {
-                        total.absorb(&observability);
+            let (unit, fingerprint) = match slot {
+                Ok(ran) => ran?,
+                Err(panic) => (UnitRun::panicked(panic.message), None),
+            };
+            if let Some(fingerprint) = fingerprint {
+                if seen.insert(fingerprint) {
+                    corpus.push_back(spec.clone());
+                    if corpus.len() > CORPUS_CAP {
+                        corpus.pop_front();
                     }
                 }
-                Ok(Ok(CovResult::Panicked {
-                    message,
-                    last_events,
-                })) => {
-                    // A panic is novel behavior too, but a crashing scenario
-                    // never enters the corpus: mutating it would spend the
-                    // budget re-crashing.
-                    let mut h = FastHasher::default();
-                    h.write(message.as_bytes());
-                    seen.insert(h.finish());
-                    stats.first_violation_run.get_or_insert(run_index);
-                    report.failures.push(FuzzFailure {
-                        scenario_seed: run_index,
-                        message,
-                        last_events,
-                    });
-                }
-                Ok(Err(build_error)) => return Err(build_error),
-                Err(panic) => {
-                    let mut h = FastHasher::default();
-                    h.write(panic.message.as_bytes());
-                    seen.insert(h.finish());
-                    stats.first_violation_run.get_or_insert(run_index);
-                    report.failures.push(FuzzFailure {
-                        scenario_seed: run_index,
-                        message: panic.message,
-                        last_events: Vec::new(),
-                    });
-                }
+            } else if let Some(message) = &unit.panic {
+                // A panic is novel behavior too, but a crashing scenario
+                // never enters the corpus: mutating it would spend the
+                // budget re-crashing.
+                let mut h = FastHasher::default();
+                h.write(message.as_bytes());
+                seen.insert(h.finish());
             }
+            if unit.panic.is_some() || unit.repro.is_some() {
+                stats.first_violation_run.get_or_insert(run_index);
+            }
+            report.absorb(run_index, spec, unit);
         }
 
         stats.distinct_fingerprints = seen.len() as u64;
@@ -752,7 +656,9 @@ pub fn fuzz_coverage_in_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::RunMode;
     use bft_sim_core::buggify::FaultPreset;
+    use bft_sim_core::obs::DEFAULT_LAST_K;
     use bft_sim_core::scheduler::SchedulerKind;
     use bft_sim_protocols::registry::ProtocolKind;
 

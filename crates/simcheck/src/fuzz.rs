@@ -6,14 +6,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bft_sim_core::buggify::FaultPreset;
 use bft_sim_core::json::Json;
-use bft_sim_core::obs::{Histogram, Observability, DEFAULT_LAST_K};
+use bft_sim_core::obs::{Histogram, ObsConfig, Observability, DEFAULT_LAST_K};
 use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_core::sweep::{panic_message, sweep};
 use bft_sim_core::trace::TraceEvent;
 use bft_sim_protocols::registry::ProtocolKind;
 
 use crate::repro::Repro;
-use crate::scenario::{NetSpec, RunMode, ScenarioSpec};
+use crate::scenario::{CheckedRun, NetSpec, RunMode, ScenarioSpec};
 use crate::shrink::shrink;
 
 /// Knobs for a fuzzing sweep.
@@ -181,7 +181,7 @@ pub struct FuzzReport {
     /// Every violating scenario, in seed order.
     pub outcomes: Vec<FuzzOutcome>,
     /// Number of panicked scenarios. Always equals `failures.len()` for
-    /// reports built by [`fuzz_many`]; kept as an explicit counter so
+    /// reports built by this crate; kept as an explicit counter so
     /// aggregation layers (bench baselines, campaign checkpoints) can carry
     /// the tally without carrying the failures themselves.
     pub panicked: u64,
@@ -201,35 +201,52 @@ impl FuzzReport {
     pub fn clean(&self) -> bool {
         self.outcomes.is_empty() && self.failures.is_empty()
     }
-}
 
-/// What one seed's job produces; reassembled in seed order by the sweep.
-enum SeedResult {
-    /// The run completed (cleanly or with violations).
-    Ran {
-        events_processed: u64,
-        skipped_cancelled_timers: u64,
-        skipped_excluded_nodes: u64,
-        // Both boxed: `FuzzOutcome` and `Observability` are large and
-        // the variant is short-lived.
-        outcome: Option<Box<FuzzOutcome>>,
-        observability: Option<Box<Observability>>,
-    },
-    /// The run panicked with observability on; the job caught the panic
-    /// itself so it could salvage the event ring.
-    Panicked {
+    /// Folds one scenario's unit into the report; sweeps call this in
+    /// scenario order. `spec` is the scenario as run, kept on violation.
+    pub(crate) fn absorb(&mut self, scenario_seed: u64, spec: &ScenarioSpec, unit: UnitRun) {
+        if let Some(message) = unit.panic {
+            return self.fail(scenario_seed, message, unit.last_events);
+        }
+        self.runs += 1;
+        self.events_processed += unit.events_processed;
+        self.skipped_cancelled_timers += unit.skipped_cancelled_timers;
+        self.skipped_excluded_nodes += unit.skipped_excluded_nodes;
+        if let (Some(total), Some(obs)) = (&mut self.observability, &unit.observability) {
+            total.absorb(obs);
+        }
+        if let Some(repro) = unit.repro {
+            self.outcomes.push(FuzzOutcome {
+                scenario_seed,
+                spec: spec.clone(),
+                violations: unit.violations,
+                repro,
+            });
+        }
+    }
+
+    /// Records one panicked scenario.
+    pub(crate) fn fail(
+        &mut self,
+        scenario_seed: u64,
         message: String,
         last_events: Vec<TraceEvent>,
-    },
+    ) {
+        self.panicked += 1;
+        self.failures.push(FuzzFailure {
+            scenario_seed,
+            message,
+            last_events,
+        });
+    }
 }
 
 /// Runs one scenario per seed, oracle-checks it, and shrinks every failure.
 /// Seeds are sharded across `opts.threads` workers (0 = available
 /// parallelism) and the report is reassembled in seed order, so it is fully
 /// deterministic: the same seeds and options always produce the same report,
-/// byte for byte, at any thread count. A panicking run is isolated
-/// (`catch_unwind` inside the sweep engine) and reported as a
-/// [`FuzzFailure`] instead of aborting the sweep.
+/// byte for byte, at any thread count. A panicking run is isolated and
+/// reported as a [`FuzzFailure`] instead of aborting the sweep.
 ///
 /// # Errors
 ///
@@ -241,70 +258,26 @@ pub fn fuzz_many(
     opts: &FuzzOptions,
 ) -> Result<FuzzReport, String> {
     let seeds: Vec<u64> = seeds.into_iter().collect();
-    let per_seed = sweep(
-        seeds.len(),
-        opts.threads,
-        |i| -> Result<SeedResult, String> {
-            let seed = seeds[i];
-            let mut spec = ScenarioSpec::generate(
-                seed,
-                &opts.protocols,
-                opts.intensity_permille,
-                opts.max_actions,
-                opts.inject_bug,
-                opts.fault_preset,
-            );
-            if let Some(n) = opts.n_override {
-                spec.n = n;
-            }
-            if opts.net_override.is_some() {
-                spec.net = opts.net_override;
-            }
-            let run = if opts.observability {
-                // Catch the panic here (inside the sweep's own isolation)
-                // so the pre-cloned ring handle can salvage the last events
-                // of the crashing run.
-                let cfg = spec.obs_config(DEFAULT_LAST_K);
-                let ring = cfg.ring();
-                match catch_unwind(AssertUnwindSafe(|| {
-                    spec.run_observed(RunMode::Generate, opts.scheduler, Some(cfg))
-                })) {
-                    Ok(run) => run.map_err(|e| format!("seed {seed}: {e}"))?,
-                    Err(payload) => {
-                        return Ok(SeedResult::Panicked {
-                            message: panic_message(payload.as_ref()),
-                            last_events: ring.snapshot(),
-                        })
-                    }
-                }
-            } else {
-                spec.run_with(RunMode::Generate, opts.scheduler)
-                    .map_err(|e| format!("seed {seed}: {e}"))?
-            };
-            let observability = run.result.observability.clone().map(Box::new);
-            let outcome = if run.violations.is_empty() {
-                None
-            } else {
-                let mut repro = shrink(&spec, &run);
-                if let Some(obs) = &observability {
-                    repro.last_events = obs.recent_events.clone();
-                }
-                Some(Box::new(FuzzOutcome {
-                    scenario_seed: seed,
-                    spec,
-                    violations: run.violations.iter().map(|v| v.to_string()).collect(),
-                    repro,
-                }))
-            };
-            Ok(SeedResult::Ran {
-                events_processed: run.result.events_processed,
-                skipped_cancelled_timers: run.result.skipped_cancelled_timers,
-                skipped_excluded_nodes: run.result.skipped_excluded_nodes,
-                outcome,
-                observability,
-            })
-        },
-    );
+    let per_seed = sweep(seeds.len(), opts.threads, |i| -> Result<_, String> {
+        let seed = seeds[i];
+        let mut spec = ScenarioSpec::generate(
+            seed,
+            &opts.protocols,
+            opts.intensity_permille,
+            opts.max_actions,
+            opts.inject_bug,
+            opts.fault_preset,
+        );
+        if let Some(n) = opts.n_override {
+            spec.n = n;
+        }
+        if opts.net_override.is_some() {
+            spec.net = opts.net_override;
+        }
+        let (unit, _) = run_scenario(&spec, opts.scheduler, opts.observability, |_| ())
+            .map_err(|e| format!("seed {seed}: {e}"))?;
+        Ok((spec, unit))
+    });
 
     let mut report = FuzzReport {
         observability: opts.observability.then(FuzzObservability::default),
@@ -312,58 +285,30 @@ pub fn fuzz_many(
     };
     for (i, slot) in per_seed.into_iter().enumerate() {
         match slot {
-            Ok(Ok(SeedResult::Ran {
-                events_processed,
-                skipped_cancelled_timers,
-                skipped_excluded_nodes,
-                outcome,
-                observability,
-            })) => {
-                report.runs += 1;
-                report.events_processed += events_processed;
-                report.skipped_cancelled_timers += skipped_cancelled_timers;
-                report.skipped_excluded_nodes += skipped_excluded_nodes;
-                if let Some(outcome) = outcome {
-                    report.outcomes.push(*outcome);
-                }
-                if let (Some(total), Some(obs)) = (&mut report.observability, &observability) {
-                    total.absorb(obs);
-                }
+            Ok(ran) => {
+                let (spec, unit) = ran?;
+                report.absorb(seeds[i], &spec, unit);
             }
-            Ok(Ok(SeedResult::Panicked {
-                message,
-                last_events,
-            })) => {
-                report.panicked += 1;
-                report.failures.push(FuzzFailure {
-                    scenario_seed: seeds[i],
-                    message,
-                    last_events,
-                });
-            }
-            Ok(Err(build_error)) => return Err(build_error),
-            Err(panic) => {
-                report.panicked += 1;
-                report.failures.push(FuzzFailure {
-                    scenario_seed: seeds[i],
-                    message: panic.message,
-                    last_events: Vec::new(),
-                });
-            }
+            Err(panic) => report.fail(seeds[i], panic.message, Vec::new()),
         }
     }
     Ok(report)
 }
 
-/// The outcome of one campaign work unit: a single scenario executed with
-/// observability on, oracle-checked, panic-isolated and — on violation —
-/// shrunk to a [`Repro`]. This is the per-unit execution path behind
-/// `bft-sim campaign`; everything in it derives from simulated quantities,
-/// so a unit's outcome is byte-identical under every scheduler backend.
+/// The outcome of one scenario, reduced to what the drivers keep: counters,
+/// `[oracle] detail` lines, the shrunk [`Repro`], the observability
+/// snapshot, or the panic that ended it. One unit is also one work unit of
+/// `bft-sim campaign`. Everything in it derives from simulated quantities,
+/// so it is byte-identical under every scheduler backend.
 #[derive(Debug)]
 pub struct UnitRun {
     /// Engine events dispatched (0 when the run panicked).
     pub events_processed: u64,
+    /// Timers cancelled while pending (0 when the run panicked).
+    pub skipped_cancelled_timers: u64,
+    /// Events skipped because their node was crashed or corrupted (0 when
+    /// the run panicked).
+    pub skipped_excluded_nodes: u64,
     /// Consensus slots completed by every live honest node.
     pub decisions: u64,
     /// Time to the first completed decision, in microseconds.
@@ -374,62 +319,99 @@ pub struct UnitRun {
     pub violations: Vec<String>,
     /// The minimised reproducer, when the run violated an oracle.
     pub repro: Option<Repro>,
-    /// The run's observability snapshot (`None` when the run panicked).
+    /// The run's observability snapshot (`None` when the run panicked or
+    /// ran without observability).
     pub observability: Option<Box<Observability>>,
     /// The panic message, when the run panicked instead of completing.
     pub panic: Option<String>,
+    /// The last trace events before the panic, salvaged from the
+    /// observability ring; empty unless the run panicked with it on.
+    pub last_events: Vec<TraceEvent>,
 }
 
-/// Executes one campaign work unit: runs `spec` in [`RunMode::Generate`]
-/// with observability on, checks the oracle suite, catches panics (a
-/// panicked unit is an *outcome*, not an abort) and shrinks any violation.
+impl UnitRun {
+    /// A unit that panicked with `message` before producing any result.
+    pub fn panicked(message: String) -> UnitRun {
+        UnitRun {
+            events_processed: 0,
+            skipped_cancelled_timers: 0,
+            skipped_excluded_nodes: 0,
+            decisions: 0,
+            latency_micros: None,
+            honest_messages: 0,
+            violations: Vec::new(),
+            repro: None,
+            observability: None,
+            panic: Some(message),
+            last_events: Vec::new(),
+        }
+    }
+}
+
+/// Runs one generated scenario the way every driver does: in
+/// [`RunMode::Generate`], with observability when `observe` is set, checked
+/// against the oracle suite, with engine panics caught (the observability
+/// ring salvages the last events) and any violation shrunk to a [`Repro`]
+/// that carries the ring's recent events. `inspect` sees the completed run
+/// before it is reduced to a [`UnitRun`]; its value is `None` for a
+/// panicked run.
+///
+/// # Errors
+///
+/// Returns a message only when the scenario cannot be *built*.
+pub(crate) fn run_scenario<T>(
+    spec: &ScenarioSpec,
+    scheduler: SchedulerKind,
+    observe: bool,
+    inspect: impl FnOnce(&CheckedRun) -> T,
+) -> Result<(UnitRun, Option<T>), String> {
+    let cfg = observe.then(|| spec.obs_config(DEFAULT_LAST_K));
+    let ring = cfg.as_ref().map(ObsConfig::ring);
+    let run = match catch_unwind(AssertUnwindSafe(|| {
+        spec.run_observed(RunMode::Generate, scheduler, cfg)
+    })) {
+        Ok(run) => run?,
+        Err(payload) => {
+            let mut unit = UnitRun::panicked(panic_message(payload.as_ref()));
+            unit.last_events = ring.map(|ring| ring.snapshot()).unwrap_or_default();
+            return Ok((unit, None));
+        }
+    };
+    let inspected = inspect(&run);
+    let repro = (!run.violations.is_empty()).then(|| {
+        let mut repro = shrink(spec, &run);
+        if let Some(obs) = &run.result.observability {
+            repro.last_events = obs.recent_events.clone();
+        }
+        repro
+    });
+    let result = run.result;
+    let unit = UnitRun {
+        events_processed: result.events_processed,
+        skipped_cancelled_timers: result.skipped_cancelled_timers,
+        skipped_excluded_nodes: result.skipped_excluded_nodes,
+        decisions: result.decisions_completed(),
+        latency_micros: result.latency().map(|d| d.as_micros()),
+        honest_messages: result.honest_messages,
+        violations: run.violations.iter().map(|v| v.to_string()).collect(),
+        repro,
+        observability: result.observability.map(Box::new),
+        panic: None,
+        last_events: Vec::new(),
+    };
+    Ok((unit, Some(inspected)))
+}
+
+/// Executes one campaign work unit: the scenario runs the way
+/// [`fuzz_many`] runs it, with observability on. A panicked unit is an
+/// *outcome*, not an abort.
 ///
 /// # Errors
 ///
 /// Returns a message only when the scenario cannot be *built* — a malformed
 /// spec is a campaign-level configuration error, not a unit outcome.
 pub fn run_unit(spec: &ScenarioSpec, scheduler: SchedulerKind) -> Result<UnitRun, String> {
-    let cfg = spec.obs_config(DEFAULT_LAST_K);
-    let run = match catch_unwind(AssertUnwindSafe(|| {
-        spec.run_observed(RunMode::Generate, scheduler, Some(cfg))
-    })) {
-        Ok(run) => run?,
-        Err(payload) => {
-            return Ok(UnitRun {
-                events_processed: 0,
-                decisions: 0,
-                latency_micros: None,
-                honest_messages: 0,
-                violations: Vec::new(),
-                repro: None,
-                observability: None,
-                panic: Some(panic_message(payload.as_ref())),
-            })
-        }
-    };
-    let observability = run.result.observability.clone().map(Box::new);
-    let (violations, repro) = if run.violations.is_empty() {
-        (Vec::new(), None)
-    } else {
-        let mut repro = shrink(spec, &run);
-        if let Some(obs) = &observability {
-            repro.last_events = obs.recent_events.clone();
-        }
-        (
-            run.violations.iter().map(|v| v.to_string()).collect(),
-            Some(repro),
-        )
-    };
-    Ok(UnitRun {
-        events_processed: run.result.events_processed,
-        decisions: run.result.decisions_completed(),
-        latency_micros: run.result.latency().map(|d| d.as_micros()),
-        honest_messages: run.result.honest_messages,
-        violations,
-        repro,
-        observability,
-        panic: None,
-    })
+    run_scenario(spec, scheduler, true, |_| ()).map(|(unit, _)| unit)
 }
 
 #[cfg(test)]

@@ -48,13 +48,15 @@ pub struct Repro {
 }
 
 impl Repro {
-    /// Re-runs the repro and confirms the recorded oracle still fires.
+    /// Re-runs the repro and confirms it replays to exactly the recorded
+    /// violation: the same oracle, with the same detail.
     ///
     /// # Errors
     ///
     /// Returns a message when the run cannot be built (e.g. the spec needs
-    /// the `testbug` feature) or when the oracle no longer fires — meaning
-    /// either the bug is fixed or the repro went stale.
+    /// the `testbug` feature), when the oracle no longer fires — meaning
+    /// either the bug is fixed or the repro went stale — or when it fires
+    /// with a different detail than the one recorded.
     pub fn check(&self) -> Result<OracleViolation, String> {
         let run = match &self.schedule {
             Some(schedule) => self.spec.run(RunMode::Replay(schedule))?,
@@ -63,7 +65,8 @@ impl Repro {
                 faults: &self.fault_actions,
             })?,
         };
-        run.violations
+        let violation = run
+            .violations
             .into_iter()
             .find(|v| v.oracle == self.oracle)
             .ok_or_else(|| {
@@ -71,7 +74,15 @@ impl Repro {
                     "oracle \"{}\" did not fire — the repro no longer reproduces",
                     self.oracle
                 )
-            })
+            })?;
+        if violation.detail != self.detail {
+            return Err(format!(
+                "oracle \"{}\" fired with a different violation — recorded \"{}\", \
+                 replayed \"{}\"",
+                self.oracle, self.detail, violation.detail
+            ));
+        }
+        Ok(violation)
     }
 
     /// The repro as a JSON document (`"format": "bft-sim-repro-v1"`).
@@ -329,6 +340,43 @@ mod tests {
         }
         let err = Repro::from_json(&doc).unwrap_err();
         assert!(err.contains("v999"), "{err}");
+    }
+
+    #[test]
+    fn replay_must_match_the_recorded_detail() {
+        // A benign PBFT run cannot finish 50 decisions in one simulated
+        // second, so the termination oracle fires on every replay.
+        let spec = ScenarioSpec {
+            target_decisions: 50,
+            time_cap_secs: 1,
+            ..ScenarioSpec::baseline(ProtocolKind::Pbft)
+        };
+        let fired = spec
+            .run(RunMode::scripted(&[]))
+            .unwrap()
+            .violations
+            .into_iter()
+            .find(|v| v.oracle == "termination")
+            .expect("termination must fire");
+        let repro = Repro {
+            spec,
+            actions: Vec::new(),
+            oracle: "termination".to_string(),
+            detail: fired.detail.clone(),
+            ..sample()
+        };
+        assert_eq!(repro.check().unwrap(), fired);
+
+        // Same oracle, different recorded detail: the repro does not replay
+        // to the violation it claims.
+        let drifted = Repro {
+            detail: "n0 never decided".to_string(),
+            ..repro
+        };
+        let err = drifted.check().unwrap_err();
+        assert!(err.contains("different violation"), "{err}");
+        assert!(err.contains("n0 never decided"), "{err}");
+        assert!(err.contains(&fired.detail), "{err}");
     }
 
     #[test]

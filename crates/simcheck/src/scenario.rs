@@ -25,9 +25,7 @@ use bft_sim_core::message::Message;
 use bft_sim_core::metrics::RunResult;
 use bft_sim_core::network::{NetworkModel, SampledNetwork};
 use bft_sim_core::obs::ObsConfig;
-use bft_sim_core::oracle::{
-    OracleInput, OracleObserver, OracleSuite, OracleViolation, OutageWindow,
-};
+use bft_sim_core::oracle::{OracleInput, OracleSuite, OracleViolation, OutageWindow};
 use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_core::time::{SimDuration, SimTime};
 use bft_sim_core::validator::DeliverySchedule;
@@ -855,8 +853,6 @@ impl ScenarioSpec {
             expect.outages = self.outage_windows()?;
         }
         let factory = kind.factory(&cfg, self.genesis_seed);
-        let observer = OracleObserver::new();
-        let probe = observer.clone();
         let network = self.network()?;
 
         let (result, schedule, actions, fault_log) = match mode {
@@ -865,7 +861,6 @@ impl ScenarioSpec {
                 replay.rewind();
                 let mut builder = SimulationBuilder::new(cfg)
                     .network(network)
-                    .observer(observer)
                     .scheduler(scheduler)
                     .replay_schedule(replay)
                     .protocols(factory);
@@ -907,7 +902,6 @@ impl ScenarioSpec {
                 };
                 let mut builder = SimulationBuilder::new(cfg)
                     .network(network)
-                    .observer(observer)
                     .scheduler(scheduler)
                     .adversary(stack)
                     .protocols(factory);
@@ -923,11 +917,7 @@ impl ScenarioSpec {
             }
         };
 
-        let violations = OracleSuite::standard().check(&OracleInput::from_result(
-            &result,
-            Some(probe.snapshot()),
-            expect,
-        ));
+        let violations = OracleSuite::standard().check(&OracleInput::from_result(&result, expect));
         let (fault_actions, fault_stats) = match fault_log {
             Some(log) => (log.snapshot(), log.stats()),
             None => (Vec::new(), FaultStats::default()),

@@ -13,7 +13,8 @@
 //!    seeded bug, no fault kinds outside the recorded fate stream), record
 //!    the final failing run's [`DeliverySchedule`] and bisect it to the
 //!    shortest violating prefix — the repro then replays through the
-//!    engine's validator path with no adversary at all.
+//!    engine's validator path with no adversary at all, and records the
+//!    violation detail that prefix replay reports.
 
 use bft_sim_attacks::{FuzzAction, FuzzActionKind};
 use bft_sim_core::buggify::{FaultAction, FaultKind, FaultPreset};
@@ -144,10 +145,13 @@ pub fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
     }
 
     // 6. Re-run the minimised scenario once more for the final schedule and
-    //    violation detail, then try to turn it into a pure schedule replay.
+    //    violation, then try to turn it into a pure schedule replay. A
+    //    prefix can trip the same oracle with a different violation, so
+    //    the repro records what replaying the prefix itself reports.
     let fin = still_fails(&spec, &actions, &faults, oracle)
         .expect("minimised scenario must still fail: every kept step was re-verified");
-    let schedule = replay_eligible(&spec, &actions, &faults)
+    let violation_of = |run: CheckedRun| run.violations.into_iter().find(|v| v.oracle == oracle);
+    let replay = replay_eligible(&spec, &actions, &faults)
         .then(|| {
             bisect_prefix(&fin.schedule, |prefix| {
                 spec.run(RunMode::Replay(prefix))
@@ -155,19 +159,25 @@ pub fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
                     .unwrap_or(false)
             })
         })
-        .flatten();
-    let v = fin
-        .violations
-        .iter()
-        .find(|v| v.oracle == oracle)
-        .expect("still_fails guarantees the oracle fired");
+        .flatten()
+        .and_then(|prefix| {
+            let v = violation_of(spec.run(RunMode::Replay(&prefix)).ok()?)?;
+            Some((prefix, v))
+        });
+    let (schedule, v) = match replay {
+        Some((prefix, v)) => (Some(prefix), v),
+        None => (
+            None,
+            violation_of(fin).expect("still_fails guarantees the oracle fired"),
+        ),
+    };
     Repro {
         spec,
         actions,
         fault_actions: faults,
         schedule,
         oracle: v.oracle.to_string(),
-        detail: v.detail.clone(),
+        detail: v.detail,
         last_events: Vec::new(),
     }
 }
@@ -276,6 +286,50 @@ mod tests {
         .unwrap();
         assert_eq!(prefix.len(), 37);
         assert!(probes <= 9, "binary search, not a scan: {probes} probes");
+    }
+
+    /// A fuzzer catch whose bisected schedule prefix trips agreement on a
+    /// later slot than the full minimised run does: the repro must record
+    /// the violation the prefix replays to.
+    #[test]
+    fn schedule_repro_records_the_violation_its_prefix_replays_to() {
+        use bft_sim_attacks::FuzzActionKind;
+
+        let spec = ScenarioSpec::from_json(
+            &Json::parse(
+                r#"{"protocol": "sync-hotstuff", "n": 10, "seed": 7946845521368092580,
+                "genesis_seed": 15045461669514917569, "lambda_micros": 1000000,
+                "delay": {"Normal": {"mean_micros": 250000, "std_micros": 50000}},
+                "partition": {"start_ms": 230, "end_ms": 3627, "drop": true},
+                "adversary_seed": 7600986749784513870, "intensity_permille": 500,
+                "max_actions": 48, "target_decisions": 1, "time_cap_secs": 900,
+                "inject_bug": false}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let actions = [FuzzAction {
+            msg_index: 9,
+            kind: FuzzActionKind::Drop,
+        }];
+        let failing = spec.run(RunMode::scripted(&actions)).unwrap();
+        assert!(failing.violates("agreement"), "{:?}", failing.violations);
+
+        let repro = shrink(&spec, &failing);
+        let prefix = repro
+            .schedule
+            .as_ref()
+            .expect("a pure drop replays through a schedule prefix");
+        let replayed = repro
+            .spec
+            .run(RunMode::Replay(prefix))
+            .unwrap()
+            .violations
+            .into_iter()
+            .find(|v| v.oracle == "agreement")
+            .expect("the prefix trips agreement");
+        assert_eq!(repro.detail, replayed.detail);
+        assert_eq!(repro.check().unwrap(), replayed);
     }
 
     #[test]

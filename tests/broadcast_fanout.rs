@@ -15,31 +15,39 @@ use bft_sim_core::json::Json;
 use bft_sim_core::payload::Payload;
 use bft_simulator::prelude::*;
 
-/// How many times a `Ballot` payload has been deep-cloned, ever.
-static BALLOT_CLONES: AtomicU64 = AtomicU64::new(0);
-
 #[derive(Debug)]
 struct Ballot {
     round: u64,
+    /// Deep clones of this run's ballots. Each run owns its counter, so
+    /// tests running in parallel never see each other's clones.
+    clones: Arc<AtomicU64>,
 }
 
 // Manual Clone so every deep copy of a broadcast payload is counted; the
 // refcount bumps of the Arc fan-out never pass through here.
 impl Clone for Ballot {
     fn clone(&self) -> Self {
-        BALLOT_CLONES.fetch_add(1, Ordering::SeqCst);
-        Ballot { round: self.round }
+        self.clones.fetch_add(1, Ordering::SeqCst);
+        Ballot {
+            round: self.round,
+            clones: Arc::clone(&self.clones),
+        }
     }
 }
 
 /// Round 0: every node broadcasts one `Ballot`; a node decides after its
 /// first delivery.
 #[derive(Debug, Clone)]
-struct OneShotBroadcast;
+struct OneShotBroadcast {
+    clones: Arc<AtomicU64>,
+}
 
 impl Protocol for OneShotBroadcast {
     fn init(&mut self, ctx: &mut Context<'_>) {
-        ctx.broadcast(Ballot { round: 7 });
+        ctx.broadcast(Ballot {
+            round: 7,
+            clones: Arc::clone(&self.clones),
+        });
     }
 
     fn on_message(&mut self, msg: &Message, ctx: &mut Context<'_>) {
@@ -55,12 +63,17 @@ impl Protocol for OneShotBroadcast {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Factory;
+/// Builds every node of one run around the run's shared clone counter.
+#[derive(Debug, Clone, Default)]
+struct Factory {
+    clones: Arc<AtomicU64>,
+}
 
 impl ProtocolFactory for Factory {
     fn create(&self, _node: NodeId) -> Box<dyn Protocol> {
-        Box::new(OneShotBroadcast)
+        Box::new(OneShotBroadcast {
+            clones: Arc::clone(&self.clones),
+        })
     }
 }
 
@@ -104,27 +117,30 @@ impl Adversary for FanOutObserver {
     }
 }
 
-fn run_observed(n: usize, mutate_dst: Option<NodeId>) -> (RunResult, ObservedFanOut) {
+/// Runs one broadcast round; also returns how many times the run
+/// deep-cloned a `Ballot`.
+fn run_observed(n: usize, mutate_dst: Option<NodeId>) -> (RunResult, ObservedFanOut, u64) {
     let per_src = Arc::new(Mutex::new(Vec::new()));
+    let factory = Factory::default();
+    let clones = Arc::clone(&factory.clones);
     let result = SimulationBuilder::new(RunConfig::new(n).with_seed(3))
         .network(ConstantNetwork::new(SimDuration::from_millis(10.0)))
         .adversary(FanOutObserver {
             per_src: Arc::clone(&per_src),
             mutate_dst,
         })
-        .protocols(Factory)
+        .protocols(factory)
         .build()
         .unwrap()
         .run();
     let observed = per_src.lock().unwrap().clone();
-    (result, observed)
+    (result, observed, clones.load(Ordering::SeqCst))
 }
 
 #[test]
 fn broadcast_peers_share_one_payload_allocation() {
-    let clones_before = BALLOT_CLONES.load(Ordering::SeqCst);
     let n = 7;
-    let (result, observed) = run_observed(n, None);
+    let (result, observed, clones) = run_observed(n, None);
     assert!(result.is_clean());
     // Every node broadcast once to its n − 1 peers…
     assert_eq!(observed.len(), n);
@@ -140,18 +156,14 @@ fn broadcast_peers_share_one_payload_allocation() {
         }
     }
     // O(1) payload allocations per broadcast means zero deep clones here.
-    assert_eq!(
-        BALLOT_CLONES.load(Ordering::SeqCst) - clones_before,
-        0,
-        "broadcast fan-out deep-cloned a payload"
-    );
+    assert_eq!(clones, 0, "broadcast fan-out deep-cloned a payload");
 }
 
 #[test]
 fn adversary_mutation_is_copy_on_write() {
     let n = 5;
     let target = NodeId::new(2);
-    let (result, observed) = run_observed(n, Some(target));
+    let (result, observed, _) = run_observed(n, Some(target));
     // The forged ballot makes the target disagree with everyone else — the
     // safety checker must notice, which also proves the mutation landed.
     assert!(result.safety_violation.is_some());
@@ -202,9 +214,9 @@ fn recorded_schedule_replays_byte_identically() {
     let build = |schedule: Option<DeliverySchedule>| {
         let builder = SimulationBuilder::new(RunConfig::new(n).with_seed(11))
             .network(ConstantNetwork::new(SimDuration::from_millis(25.0)))
-            .protocols(Factory);
+            .protocols(Factory::default());
         match schedule {
-            None => builder.record_schedule(true),
+            None => builder,
             Some(s) => builder.replay_schedule(s),
         }
         .build()
